@@ -124,7 +124,7 @@ pub struct BuildReport {
 pub struct QueryMeasurement {
     /// Interval-based time (Steps 1–2), in seconds.
     pub interval_seconds: f64,
-    /// Total time (Steps 1–3), in seconds.
+    /// Total time (the optimizer pass plus Steps 1–3), in seconds.
     pub total_seconds: f64,
     /// Number of interval-level intermediate matches after Steps 1–2.
     pub interval_rows: usize,

@@ -62,9 +62,8 @@ impl AnswerMode {
     }
 }
 
-/// A compiled query plus the options to run it with — the single entry point that
-/// replaces the deprecated `execute_clause` / `execute_text` / `execute_query`
-/// trio.
+/// A compiled query plus the options to run it with — the engine's single entry
+/// point from query text (or a parsed clause, or a benchmark id) to answers.
 ///
 /// ```
 /// use engine::{GraphRelations, Query};
@@ -94,13 +93,9 @@ impl Query {
     /// Compiles a parsed `MATCH` clause.
     pub fn from_clause(clause: &MatchClause) -> Result<Self> {
         // Compilation happens before any `ExecutionOptions` exist, so the
-        // compile span is gated on the default telemetry setting (on): it is
-        // a cold path, entered once per query text.
-        let _span = obs::Span::enter(
-            ExecutionOptions::default()
-                .telemetry
-                .then(|| &crate::telemetry::metrics().span_compile),
-        );
+        // compile span always records: it is a cold path, entered once per
+        // query text.
+        let _span = obs::Span::enter(Some(&crate::telemetry::metrics().span_compile));
         Ok(Query::from_plan_set(crate::compiler::compile(clause)?))
     }
 

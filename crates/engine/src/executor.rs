@@ -9,14 +9,10 @@ use std::time::Duration;
 use obs::{Span, Stopwatch};
 
 use dataflow::{kway_merge_dedup, par_chunk_flat_map, JoinStrategy, Parallelism};
-use trpq::parser::MatchClause;
-use trpq::queries::QueryId;
-use trpq::Result;
 
 use crate::answers::{compact_from_chains, AnswerCursor, AnswerMode, AnswerSet, Answers};
 use crate::bindings::{Binding, BindingTable};
 use crate::chain::Chain;
-use crate::compiler::compile;
 use crate::plan::{EnginePlan, PlanSet, TemporalLink};
 use crate::relations::GraphRelations;
 use crate::steps::closure::apply_time_closure;
@@ -110,8 +106,10 @@ pub struct QueryStats {
     /// Time spent in Steps 1–2 (structural evaluation and interval-based temporal
     /// pruning) — the "interval-based time" column.
     pub interval_time: Duration,
-    /// Total execution time including Step 3 (point expansion) — the "total time"
-    /// column.
+    /// Total execution time: the optimizer pass (when
+    /// [`ExecutionOptions::optimize`] is on), Steps 1–2 and Step 3 (point
+    /// expansion) — the "total time" column.  Compilation happens before
+    /// execution and is not included.
     pub total_time: Duration,
     /// Number of interval-level intermediate matches after Steps 1–2.
     pub interval_rows: usize,
@@ -181,9 +179,10 @@ struct IntervalPhase {
 }
 
 impl IntervalPhase {
-    /// Finalises the measurements: `total_time` covers everything since the phase
-    /// started, `output_rows` is whatever the answer shape reports eagerly (lazy
-    /// shapes override it through [`Answers::stats`]).
+    /// Finalises the measurements: `total_time` covers everything since the
+    /// execution started (optimizer pass included), `output_rows` is whatever
+    /// the answer shape reports eagerly (lazy shapes override it through
+    /// [`Answers::stats`]).
     fn finish(&self, output_rows: usize) -> QueryStats {
         QueryStats {
             interval_time: self.interval_time,
@@ -227,6 +226,7 @@ fn run_interval_phase(
     graph: &GraphRelations,
     options: &ExecutionOptions,
     strategy: JoinStrategy,
+    start: Stopwatch,
 ) -> IntervalPhase {
     // Every debug execution audits its plan set: a malformed plan (hand-built,
     // or corrupted by a future compiler bug) is rejected with a diagnostic
@@ -236,13 +236,13 @@ fn run_interval_phase(
         panic!("refusing to execute a malformed plan set: {error}");
     }
     let step_stats = StepStats { timed: options.telemetry, ..StepStats::default() };
-    let start = Stopwatch::start();
+    let step12 = Stopwatch::start();
     let per_plan_chains: Vec<Vec<Chain>> = plan_set
         .plans
         .iter()
         .map(|plan| run_plan(plan, graph, options.parallelism, strategy, &step_stats))
         .collect();
-    let interval_time = start.elapsed();
+    let interval_time = step12.elapsed();
     let interval_rows = per_plan_chains.iter().map(Vec::len).sum();
     IntervalPhase { per_plan_chains, interval_time, interval_rows, step_stats, start }
 }
@@ -288,16 +288,11 @@ pub fn execute(
     graph: &GraphRelations,
     options: &ExecutionOptions,
 ) -> QueryOutput {
-    let plan_set = effective_plan_set(plan_set, graph, options);
-    let plan_set = plan_set.as_ref();
-    let strategy = effective_strategy(plan_set, options);
-    let phase = run_interval_phase(plan_set, graph, options, strategy);
-    let step3 = Span::enter(options.telemetry.then(|| &crate::telemetry::metrics().span_step3));
-    let table = materialize(plan_set, options, strategy, &phase.per_plan_chains);
-    step3.finish();
-    let stats = phase.finish(table.len());
-    phase.record_metrics(&stats, options.telemetry);
-    QueryOutput { table, stats }
+    let options = options.with_mode(AnswerMode::Materialized);
+    let Some(output) = execute_answers(plan_set, graph, &options).into_output() else {
+        unreachable!("the materialized answer mode always yields a table")
+    };
+    output
 }
 
 /// Executes a compiled plan set over a graph, shaping the answers according to
@@ -308,11 +303,14 @@ pub fn execute_answers(
     graph: &GraphRelations,
     options: &ExecutionOptions,
 ) -> Answers {
+    // One stopwatch covers the whole execution, so `total_time` and the
+    // `query` span contain the optimizer pass drawn as their `analyze` child.
+    let start = Stopwatch::start();
     let plan_set = effective_plan_set(plan_set, graph, options);
     let plan_set = plan_set.as_ref();
     let strategy = effective_strategy(plan_set, options);
     let telemetry = options.telemetry;
-    let phase = run_interval_phase(plan_set, graph, options, strategy);
+    let phase = run_interval_phase(plan_set, graph, options, strategy, start);
     match options.answer_mode {
         AnswerMode::Materialized => {
             let step3 = Span::enter(telemetry.then(|| &crate::telemetry::metrics().span_step3));
@@ -340,50 +338,6 @@ pub fn execute_answers(
             Answers::new(AnswerSet::Cursor(cursor), stats)
         }
     }
-}
-
-/// Compiles and executes a parsed `MATCH` clause.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `engine::Query::from_clause(clause)?.with_options(options).run(graph)`"
-)]
-pub fn execute_clause(
-    clause: &MatchClause,
-    graph: &GraphRelations,
-    options: &ExecutionOptions,
-) -> Result<QueryOutput> {
-    let plan_set = compile(clause)?;
-    Ok(execute(&plan_set, graph, options))
-}
-
-/// Parses, compiles and executes a query given in the practical surface syntax.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `engine::Query::parse(query)?.with_options(options).run(graph)`"
-)]
-pub fn execute_text(
-    query: &str,
-    graph: &GraphRelations,
-    options: &ExecutionOptions,
-) -> Result<QueryOutput> {
-    let clause = trpq::parser::parse_match(query)?;
-    let plan_set = compile(&clause)?;
-    Ok(execute(&plan_set, graph, options))
-}
-
-/// Executes one of the paper's benchmark queries Q1–Q12, using the precompiled plan
-/// table of [`crate::queries`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `engine::Query::benchmark(id).with_options(options).run(graph)`"
-)]
-pub fn execute_query(
-    id: QueryId,
-    graph: &GraphRelations,
-    options: &ExecutionOptions,
-) -> QueryOutput {
-    let plan_set = crate::queries::plan_for(id);
-    execute(&plan_set, graph, options)
 }
 
 /// Runs Steps 1–2 of a single plan: seeds the first segment with every live node row
@@ -448,7 +402,10 @@ pub fn run_plan_seeded(
 mod tests {
     use super::*;
     use crate::answers::Query;
+    use crate::compiler::compile;
     use tgraph::{Interval, Itpg, ItpgBuilder};
+    use trpq::queries::QueryId;
+    use trpq::Result;
 
     fn iv(a: u64, b: u64) -> Interval {
         Interval::of(a, b)
@@ -478,9 +435,8 @@ mod tests {
         GraphRelations::from_itpg(&tiny())
     }
 
-    /// The tests run everything through the [`Query`] builder (these shadow the
-    /// deprecated free functions the glob import would otherwise bring in).
-    fn execute_text(
+    /// Runs a query text through the [`Query`] builder, materialised.
+    fn run_text(
         query: &str,
         graph: &GraphRelations,
         options: &ExecutionOptions,
@@ -489,7 +445,8 @@ mod tests {
         Ok(answers.into_output().expect("the default mode materialises"))
     }
 
-    fn execute_query(
+    /// Runs a benchmark query through the [`Query`] builder, materialised.
+    fn run_benchmark(
         id: QueryId,
         graph: &GraphRelations,
         options: &ExecutionOptions,
@@ -505,12 +462,9 @@ mod tests {
     #[test]
     fn structural_query_returns_interval_bindings() {
         let g = relations();
-        let out = execute_text(
-            "MATCH (x:Person {risk = 'high'}) ON g",
-            &g,
-            &ExecutionOptions::sequential(),
-        )
-        .unwrap();
+        let out =
+            run_text("MATCH (x:Person {risk = 'high'}) ON g", &g, &ExecutionOptions::sequential())
+                .unwrap();
         assert_eq!(out.stats.output_rows, 1);
         assert_eq!(names(&g, &out), vec![vec!["mia".to_string(), "[1, 10]".into()]]);
         assert_eq!(out.stats.interval_rows, 1);
@@ -520,7 +474,7 @@ mod tests {
     #[test]
     fn edge_pattern_query_joins_on_intervals() {
         let g = relations();
-        let out = execute_text(
+        let out = run_text(
             "MATCH (x:Person {risk = 'high'})-[z:meets]->(y:Person {risk = 'low'}) ON g",
             &g,
             &ExecutionOptions::sequential(),
@@ -544,7 +498,7 @@ mod tests {
     fn temporal_query_produces_point_bindings() {
         // High-risk people who met someone who subsequently tested positive (Q9 shape).
         let g = relations();
-        let out = execute_text(
+        let out = run_text(
             "MATCH (x:Person {risk = 'high'})-/FWD/:meets/FWD/NEXT*/-({test = 'pos'}) ON g",
             &g,
             &ExecutionOptions::sequential(),
@@ -561,7 +515,7 @@ mod tests {
     fn backward_temporal_query() {
         // Rooms visited at or before the time of the positive test (Q8 shape).
         let g = relations();
-        let out = execute_text(
+        let out = run_text(
             "MATCH (x:Person {test = 'pos'})-/PREV*/FWD/:visits/FWD/-(z:Room) ON g",
             &g,
             &ExecutionOptions::sequential(),
@@ -578,7 +532,7 @@ mod tests {
     #[test]
     fn structural_closure_queries_run_on_the_engine() {
         let g = relations();
-        let out = execute_text(
+        let out = run_text(
             "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-(y:Person) ON g",
             &g,
             &ExecutionOptions::sequential(),
@@ -603,7 +557,7 @@ mod tests {
         assert!(out.stats.closure_rounds > 0, "the fixpoint must have iterated");
 
         // A mandatory first iteration drops the zero-step match.
-        let plus = execute_text(
+        let plus = run_text(
             "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)[1,_]/-(y:Person) ON g",
             &g,
             &ExecutionOptions::sequential(),
@@ -616,7 +570,7 @@ mod tests {
 
         // Closure composes with temporal navigation: reachable contacts who later
         // test positive (a transitive Q9).
-        let temporal = execute_text(
+        let temporal = run_text(
             "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)[1,3]/NEXT*/-({test = 'pos'}) ON g",
             &g,
             &ExecutionOptions::sequential(),
@@ -634,7 +588,7 @@ mod tests {
         // The transitive Q9: chains of meetings, each followed by a forward walk in
         // time, ending on someone who tests positive.  On the tiny graph one
         // iteration connects mia's meeting times to eve's positive window.
-        let out = execute_text(
+        let out = run_text(
             "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD/NEXT*)[1,_]/-({test = 'pos'}) ON g",
             &g,
             &ExecutionOptions::sequential(),
@@ -649,7 +603,7 @@ mod tests {
 
         // The strict recurrence (exactly one step forward after each meeting) finds
         // nothing here: eve meets no one after meeting mia.
-        let strict = execute_text(
+        let strict = run_text(
             "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD/NEXT)*/-({test = 'pos'}) ON g",
             &g,
             &ExecutionOptions::sequential(),
@@ -663,22 +617,19 @@ mod tests {
             "MATCH (x:Person)-/(FWD/:meets/FWD/NEXT)[0,2]/-(y:Person) ON g",
             "MATCH (x:Person)-/(BWD/:meets/BWD/PREV)*/-(y:Person) ON g",
         ] {
-            let hash = execute_text(
+            let hash = run_text(
                 query,
                 &g,
                 &ExecutionOptions::sequential().with_strategy(JoinStrategy::Hash),
             )
             .unwrap();
             for strategy in [JoinStrategy::Merge, JoinStrategy::Auto] {
-                let alt = execute_text(
-                    query,
-                    &g,
-                    &ExecutionOptions::sequential().with_strategy(strategy),
-                )
-                .unwrap();
+                let alt =
+                    run_text(query, &g, &ExecutionOptions::sequential().with_strategy(strategy))
+                        .unwrap();
                 assert_eq!(hash.table, alt.table, "{query} under {strategy}");
             }
-            let par = execute_text(query, &g, &ExecutionOptions::with_threads(4)).unwrap();
+            let par = run_text(query, &g, &ExecutionOptions::with_threads(4)).unwrap();
             assert_eq!(hash.table, par.table, "{query} in parallel");
         }
     }
@@ -691,23 +642,20 @@ mod tests {
             "MATCH (x:Person)-/(FWD/:meets/FWD + FWD/:visits/FWD)*/-(y) ON g",
             "MATCH (x)-/FWD*/-(y) ON g",
         ] {
-            let hash = execute_text(
+            let hash = run_text(
                 query,
                 &g,
                 &ExecutionOptions::sequential().with_strategy(JoinStrategy::Hash),
             )
             .unwrap();
             for strategy in [JoinStrategy::Merge, JoinStrategy::Auto] {
-                let alt = execute_text(
-                    query,
-                    &g,
-                    &ExecutionOptions::sequential().with_strategy(strategy),
-                )
-                .unwrap();
+                let alt =
+                    run_text(query, &g, &ExecutionOptions::sequential().with_strategy(strategy))
+                        .unwrap();
                 assert_eq!(hash.table, alt.table, "{query} under {strategy}");
                 assert_eq!(hash.stats.interval_rows, alt.stats.interval_rows, "{query}");
             }
-            let par = execute_text(query, &g, &ExecutionOptions::with_threads(4)).unwrap();
+            let par = run_text(query, &g, &ExecutionOptions::with_threads(4)).unwrap();
             assert_eq!(hash.table, par.table, "{query} in parallel");
         }
     }
@@ -720,7 +668,7 @@ mod tests {
             "MATCH (x)-/FWD[3,1]/-(y) ON g",
             "MATCH (x:Person)-/(FWD/:meets/FWD)[2,0]/-(y) ON g",
         ] {
-            let out = execute_text(query, &g, &ExecutionOptions::sequential()).unwrap();
+            let out = run_text(query, &g, &ExecutionOptions::sequential()).unwrap();
             assert_eq!(out.stats.output_rows, 0, "{query}");
             assert_eq!(out.stats.interval_rows, 0, "{query}");
         }
@@ -729,7 +677,7 @@ mod tests {
     #[test]
     fn union_queries_merge_alternatives() {
         let g = relations();
-        let out = execute_text(
+        let out = run_text(
             "MATCH (x:Person {risk = 'high'})-\
              /(FWD/:meets/FWD + FWD/:visits/FWD)/NEXT*/-({test = 'pos'}) ON g",
             &g,
@@ -748,8 +696,8 @@ mod tests {
             "MATCH (x:Person {risk = 'high'})-/FWD/:meets/FWD/NEXT*/-({test = 'pos'}) ON g",
             "MATCH (x:Person {test = 'pos'})-/PREV*/FWD/:visits/FWD/-(z:Room) ON g",
         ] {
-            let seq = execute_text(query, &g, &ExecutionOptions::sequential()).unwrap();
-            let par = execute_text(query, &g, &ExecutionOptions::with_threads(4)).unwrap();
+            let seq = run_text(query, &g, &ExecutionOptions::sequential()).unwrap();
+            let par = run_text(query, &g, &ExecutionOptions::with_threads(4)).unwrap();
             assert_eq!(seq.table, par.table, "query {query}");
         }
     }
@@ -758,7 +706,7 @@ mod tests {
     fn benchmark_queries_run_on_the_tiny_graph() {
         let g = relations();
         for id in QueryId::ALL {
-            let out = execute_query(id, &g, &ExecutionOptions::sequential());
+            let out = run_benchmark(id, &g, &ExecutionOptions::sequential());
             assert_eq!(out.stats.output_rows, out.table.len(), "{}", id.name());
         }
     }
@@ -767,14 +715,14 @@ mod tests {
     fn join_strategies_produce_identical_tables() {
         let g = relations();
         for id in QueryId::ALL {
-            let hash = execute_query(
+            let hash = run_benchmark(
                 id,
                 &g,
                 &ExecutionOptions::sequential().with_strategy(JoinStrategy::Hash),
             );
             for strategy in [JoinStrategy::Merge, JoinStrategy::Auto] {
                 let alt =
-                    execute_query(id, &g, &ExecutionOptions::sequential().with_strategy(strategy));
+                    run_benchmark(id, &g, &ExecutionOptions::sequential().with_strategy(strategy));
                 assert_eq!(hash.table, alt.table, "{} under {strategy}", id.name());
                 assert_eq!(
                     hash.stats.interval_rows,

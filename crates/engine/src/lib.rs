@@ -59,8 +59,6 @@ pub use executor::{
     effective_strategy, execute, execute_answers, run_plan_seeded, ExecutionOptions, QueryOutput,
     QueryStats,
 };
-#[allow(deprecated)]
-pub use executor::{execute_clause, execute_query, execute_text};
 pub use plan::analyze::{
     analyze, optimized_for, static_bounds, Analysis, Diagnostic, DiagnosticKind, PlanBounds,
     SchemaSummary, Severity,

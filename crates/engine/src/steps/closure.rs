@@ -135,7 +135,9 @@ pub fn apply_closure<C: StructuralCursor>(
     out
 }
 
-fn apply_closure_untimed<C: StructuralCursor>(
+/// [`apply_closure`] without the timing: the entry point for closures nested in
+/// a fixpoint body, whose time the outermost fixpoint already accounts for.
+pub(crate) fn apply_closure_untimed<C: StructuralCursor>(
     graph: &GraphRelations,
     cursors: Vec<C>,
     closure: &ClosureOp,

@@ -25,7 +25,10 @@ pub struct StepStats {
     /// Number of structural hop joins resolved to the gallop merge algorithm.
     pub merge_joins: AtomicUsize,
     /// Nanoseconds spent inside closure fixpoints (structural and time-crossing),
-    /// accumulated only when [`StepStats::timed`] is set.  Feeds the
+    /// accumulated only when [`StepStats::timed`] is set.  Only outermost
+    /// fixpoints are timed, so a closure nested in another's body is counted
+    /// once; with several worker threads the per-worker times add up, so the
+    /// sum can exceed the wall time of Steps 1–2.  Feeds the
     /// `query/step12/closure` span.
     pub closure_nanos: AtomicU64,
     /// Whether the closure entry points read the clock to accumulate

@@ -30,7 +30,7 @@ use tgraph::Interval;
 use crate::chain::{BoundVar, Chain, Position};
 use crate::plan::{HopDirection, MicroOp, ObjFilter, Segment};
 use crate::relations::GraphRelations;
-use crate::steps::closure::apply_closure;
+use crate::steps::closure::{apply_closure, apply_closure_untimed};
 use crate::steps::StepStats;
 
 /// The state threaded through a structural pipeline: a position in the row relations
@@ -89,7 +89,8 @@ impl StructuralCursor for Chain {
 
 /// Applies every operation of a segment to the given chains, returning the surviving
 /// chains.  Hops execute their joins according to `strategy`; closure rounds are
-/// counted in `stats`.
+/// counted in `stats`.  A segment's closures are the outermost fixpoints, so they
+/// are the ones timed into [`StepStats::closure_nanos`].
 pub fn apply_segment(
     graph: &GraphRelations,
     chains: Vec<Chain>,
@@ -97,20 +98,12 @@ pub fn apply_segment(
     strategy: JoinStrategy,
     stats: &StepStats,
 ) -> Vec<Chain> {
-    apply_ops(graph, chains, &segment.ops, strategy, stats)
-}
-
-/// Applies a sequence of micro-operations to a batch of cursors.
-pub(crate) fn apply_ops<C: StructuralCursor>(
-    graph: &GraphRelations,
-    cursors: Vec<C>,
-    ops: &[MicroOp],
-    strategy: JoinStrategy,
-    stats: &StepStats,
-) -> Vec<C> {
-    let mut current = cursors;
-    for op in ops {
-        current = apply_op(graph, current, op, strategy, stats);
+    let mut current = chains;
+    for op in &segment.ops {
+        current = match op {
+            MicroOp::Closure(closure) => apply_closure(graph, current, closure, strategy, stats),
+            op => apply_op(graph, current, op, strategy, stats),
+        };
         if current.is_empty() {
             break;
         }
@@ -119,7 +112,9 @@ pub(crate) fn apply_ops<C: StructuralCursor>(
 }
 
 /// Applies one micro-operation to a batch of cursors.  Also driven directly by the
-/// closure fixpoints, which interleave micro-operations with temporal steps.
+/// closure fixpoints, which interleave micro-operations with temporal steps.  A
+/// closure here runs untimed: inside a fixpoint body it is nested, and the
+/// enclosing fixpoint's timing already covers it.
 pub(crate) fn apply_op<C: StructuralCursor>(
     graph: &GraphRelations,
     cursors: Vec<C>,
@@ -139,7 +134,9 @@ pub(crate) fn apply_op<C: StructuralCursor>(
             })
             .collect(),
         MicroOp::Hop(direction) => apply_hop(graph, cursors, *direction, strategy, stats),
-        MicroOp::Closure(closure) => apply_closure(graph, cursors, closure, strategy, stats),
+        MicroOp::Closure(closure) => {
+            apply_closure_untimed(graph, cursors, closure, strategy, stats)
+        }
     }
 }
 

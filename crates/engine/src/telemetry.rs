@@ -19,6 +19,11 @@
 //!                            point expansion, compact construction, or
 //!                            enumeration-cursor setup (mode-dependent)
 //! ```
+//!
+//! `compile` runs before execution, when the query is built, so `query` does
+//! not contain it; `query` does contain every other node.  `closure` times only
+//! the outermost fixpoints, so a closure nested in another's body counts once.
+//! At `threads > 1` it is summed over the workers and can exceed `step12`.
 
 use std::sync::{Arc, OnceLock};
 
@@ -26,8 +31,8 @@ use obs::{Counter, Histogram};
 
 /// One histogram per span-tree node, plus the engine's counters.
 pub(crate) struct EngineMetrics {
-    /// `tpath_engine_queries_total` — executions through `execute` /
-    /// `execute_answers`, any answer mode.
+    /// `tpath_engine_queries_total` — executions through `execute_answers`
+    /// (which `execute` and `Query::run` go through), any answer mode.
     pub queries: Arc<Counter>,
     /// `span="query"` — total wall time of one execution.
     pub span_query: Arc<Histogram>,
@@ -38,7 +43,8 @@ pub(crate) struct EngineMetrics {
     pub span_analyze: Arc<Histogram>,
     /// `span="query/step12"` — Steps 1–2 (interval phase).
     pub span_step12: Arc<Histogram>,
-    /// `span="query/step12/closure"` — time inside closure fixpoints.
+    /// `span="query/step12/closure"` — time inside outermost closure
+    /// fixpoints, summed over worker threads.
     pub span_closure: Arc<Histogram>,
     /// `span="query/step3"` — Step 3 materialisation.
     pub span_step3: Arc<Histogram>,

@@ -1,7 +1,9 @@
 //! End-to-end pins for the engine's telemetry: the `telemetry = false` knob
-//! really records nothing, enabled runs count executions, and an enumeration
+//! really records nothing, enabled runs count executions, an enumeration
 //! cursor's peak-buffered high-water mark survives being abandoned mid-drain
-//! (the regression that motivated recording it on cursor drop).
+//! (the regression that motivated recording it on cursor drop), and the span
+//! tree nests: `query` contains its `analyze`, `step12` and `step3` children,
+//! and a closure nested in another closure's body is timed once.
 //!
 //! Everything lives in one test function: the metrics are process-global, and
 //! a single test per binary keeps the before/after assertions race-free.
@@ -10,6 +12,9 @@ use engine::{AnswerMode, ExecutionOptions, GraphRelations, Query};
 use tgraph::{Interval, ItpgBuilder};
 
 const QUERY: &str = "MATCH (x:Person {risk = 'high'}) ON g";
+
+/// A structural closure nested inside another closure's body.
+const NESTED_CLOSURE: &str = "MATCH (x)-/((FWD/:meets/FWD)[1,2])*/-(y) ON g";
 
 /// Four high-risk persons, each an independent answer row — enough to drain a
 /// cursor partially and leave work buffered behind it.
@@ -21,6 +26,38 @@ fn graph() -> GraphRelations {
         b.set_property(node, "risk", "high", Interval::of(1, 9)).unwrap();
     }
     GraphRelations::from_itpg(&b.build().unwrap())
+}
+
+/// A ring of persons, each meeting the next two over staggered intervals, so
+/// the nested closure's fixpoints do most of the query's work.
+fn ring() -> GraphRelations {
+    const PERSONS: u64 = 40;
+    let mut b = ItpgBuilder::new();
+    let nodes: Vec<_> = (0..PERSONS)
+        .map(|i| {
+            let node = b.add_node(&format!("p{i}"), "Person").unwrap();
+            b.add_existence(node, Interval::of(0, 30)).unwrap();
+            node
+        })
+        .collect();
+    for i in 0..PERSONS {
+        for step in 1..=2 {
+            let j = (i + step) % PERSONS;
+            let edge = b
+                .add_edge(&format!("m{i}_{j}"), "meets", nodes[i as usize], nodes[j as usize])
+                .unwrap();
+            b.add_existence(edge, Interval::of(i % 7, 20 + i % 11)).unwrap();
+        }
+    }
+    GraphRelations::from_itpg(&b.build().unwrap())
+}
+
+fn span(path: &str) -> std::sync::Arc<obs::Histogram> {
+    obs::global().latency_histogram(
+        "tpath_engine_span_seconds",
+        "Wall time of engine execution span-tree nodes.",
+        &[("span", path)],
+    )
 }
 
 #[test]
@@ -75,5 +112,29 @@ fn telemetry_gates_and_peak_buffered_retention() {
     assert!(
         peak_after.sum >= peak_before.sum + mid_drain_peak as u64,
         "the retained peak is at least the mid-drain one"
+    );
+
+    // One optimized, materialised run at one thread: the `query` span
+    // contains its `analyze`, `step12` and `step3` children, and the closure
+    // nested in the outer closure's body is not timed a second time.
+    let ring = ring();
+    let nodes = ["query", "query/analyze", "query/step12", "query/step3", "query/step12/closure"];
+    let before: Vec<u64> = nodes.iter().map(|path| span(path).sum()).collect();
+    let answers = Query::parse(NESTED_CLOSURE)
+        .unwrap()
+        .with_options(ExecutionOptions::with_threads(1).with_optimize(true))
+        .run(&ring);
+    assert!(answers.stats().output_rows > 0);
+    let spent: Vec<u64> =
+        nodes.iter().zip(&before).map(|(path, before)| span(path).sum() - before).collect();
+    let [query, analyze, step12, step3, closure] = spent[..] else { unreachable!() };
+    assert!(analyze > 0 && closure > 0, "both spans recorded: {spent:?}");
+    assert!(
+        query >= analyze + step12 + step3,
+        "query ({query} ns) must contain analyze + step12 + step3 ({analyze} + {step12} + {step3} ns)"
+    );
+    assert!(
+        closure <= step12,
+        "closure ({closure} ns) is inside step12 ({step12} ns) at one thread"
     );
 }
