@@ -41,10 +41,10 @@ use std::time::Instant;
 use engine::{execute, execute_answers, AnswerMode, ExecutionOptions, PlanSet};
 use live::serve::{MetricsFormat, Request, ServeGraph, Server};
 use tgraph::{Interval, Itpg};
-use trpq::queries::QueryId;
+use trpq::queries::{QueryId, REACH_QUERY_NAME, REACH_QUERY_TEXT};
 use workload::ContactTracingConfig;
 
-/// Matches the `tpath-perf` seed so the served graph is the perf graph.
+/// Matches `trpqbench`'s default seed.
 const SERVE_SEED: u64 = 0x7e_a7_05;
 
 struct Args {
@@ -122,11 +122,9 @@ fn main() -> ExitCode {
         .into_iter()
         .map(|id| (id.name().to_string(), engine::queries::plan_for(id)))
         .collect();
-    let reach = trpq::parser::parse_match(bench::REACH_QUERY_TEXT).expect("REACH parses");
-    registered.push((
-        bench::REACH_QUERY_NAME.to_string(),
-        engine::compile(&reach).expect("REACH compiles"),
-    ));
+    let reach = trpq::parser::parse_match(REACH_QUERY_TEXT).expect("REACH parses");
+    registered
+        .push((REACH_QUERY_NAME.to_string(), engine::compile(&reach).expect("REACH compiles")));
     let mut adhoc: Vec<(String, Arc<PlanSet>)> = Vec::new();
     for text in &args.queries {
         let clause = match trpq::parser::parse_match(text) {

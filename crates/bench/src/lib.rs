@@ -10,31 +10,9 @@
 
 use std::time::Instant;
 
-use engine::{ExecutionOptions, GraphRelations, JoinStrategy, QueryOutput};
-use trpq::parser::MatchClause;
+use engine::{ExecutionOptions, GraphRelations, JoinStrategy};
 use trpq::queries::QueryId;
 use workload::{ContactTracingConfig, ScaleFactor};
-
-pub mod json;
-
-/// Name of the reachability workload in perf reports: transitive contact chains
-/// through the structural Kleene closure — the query family unlocked by the engine's
-/// fixpoint operator (it has no Q-number in the paper).
-pub const REACH_QUERY_NAME: &str = "REACH";
-
-/// Text of the [`REACH_QUERY_NAME`] workload.
-pub const REACH_QUERY_TEXT: &str = "MATCH (x:Person {risk = 'high'})\
-                                    -/(FWD/:meets/FWD)*/-(y:Person) ON contact_tracing";
-
-/// Name of the recurring-contact workload in perf reports: chains of meetings each
-/// followed by a step forward in time, ending on a positive test — *mixed*
-/// structural/temporal repetition, executed by the engine's time-aware closure.
-pub const RECUR_QUERY_NAME: &str = "RECUR";
-
-/// Text of the [`RECUR_QUERY_NAME`] workload.
-pub const RECUR_QUERY_TEXT: &str = "MATCH (x:Person {risk = 'high'})\
-                                    -/(FWD/:meets/FWD/NEXT)*/NEXT*/-({test = 'pos'}) \
-                                    ON contact_tracing";
 
 /// The scale divisor taken from `TPATH_SCALE_DIVISOR` (default 25).
 pub fn scale_divisor() -> usize {
@@ -55,15 +33,6 @@ pub fn execution_options() -> ExecutionOptions {
         None => ExecutionOptions::default(),
     };
     options.with_strategy(join_strategy())
-}
-
-/// The peak resident set size of this process in bytes (`VmHWM`), if the platform
-/// exposes it through `/proc/self/status`.
-pub fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
 }
 
 /// The generator configuration for one scale factor under the current divisor.
@@ -139,29 +108,12 @@ pub fn measure(
     options: &ExecutionOptions,
 ) -> QueryMeasurement {
     let answers = engine::Query::benchmark(id).with_options(*options).run(graph);
-    summarize(answers.into_output().expect("the default mode materialises"))
-}
-
-/// Compiles and runs a query given as a parsed clause — for harness workloads beyond
-/// Q1–Q12, such as the [`REACH_QUERY_TEXT`] reachability query.
-pub fn measure_clause(
-    clause: &MatchClause,
-    graph: &GraphRelations,
-    options: &ExecutionOptions,
-) -> QueryMeasurement {
-    let answers = engine::Query::from_clause(clause)
-        .expect("harness queries compile")
-        .with_options(*options)
-        .run(graph);
-    summarize(answers.into_output().expect("the default mode materialises"))
-}
-
-fn summarize(out: QueryOutput) -> QueryMeasurement {
+    let stats = answers.into_output().expect("the default mode materialises").stats;
     QueryMeasurement {
-        interval_seconds: out.stats.interval_time.as_secs_f64(),
-        total_seconds: out.stats.total_time.as_secs_f64(),
-        interval_rows: out.stats.interval_rows,
-        output_size: out.stats.output_rows,
+        interval_seconds: stats.interval_time.as_secs_f64(),
+        total_seconds: stats.total_time.as_secs_f64(),
+        interval_rows: stats.interval_rows,
+        output_size: stats.output_rows,
     }
 }
 
@@ -190,29 +142,11 @@ mod tests {
     }
 
     #[test]
-    fn reach_query_parses_and_measures() {
-        let (graph, _) = build_graph_with(ContactTracingConfig::with_persons(60));
-        let clause = trpq::parser::parse_match(REACH_QUERY_TEXT).unwrap();
-        let m = measure_clause(&clause, &graph, &ExecutionOptions::sequential());
-        assert!(m.total_seconds >= m.interval_seconds);
-    }
-
-    #[test]
-    fn recur_query_parses_and_measures() {
-        let (graph, _) = build_graph_with(ContactTracingConfig::with_persons(60));
-        let clause = trpq::parser::parse_match(RECUR_QUERY_TEXT).unwrap();
-        let m = measure_clause(&clause, &graph, &ExecutionOptions::sequential());
-        assert!(m.total_seconds >= m.interval_seconds);
-    }
-
-    #[test]
     fn environment_defaults_are_sane() {
         assert!(scale_divisor() >= 1);
         assert!(execution_options().parallelism.threads() >= 1);
         // TPATH_JOIN_STRATEGY is unset in the test environment, so the adaptive
         // default applies.
         assert_eq!(join_strategy(), JoinStrategy::Auto);
-        // Peak RSS is best-effort: Some on Linux, None elsewhere — never a panic.
-        let _ = peak_rss_bytes();
     }
 }

@@ -52,7 +52,7 @@ pub enum AnswerMode {
 }
 
 impl AnswerMode {
-    /// The mode's name as it appears in perf reports (`full` / `compact` / `enum`).
+    /// The mode's short name (`full` / `compact` / `enum`), as benchmark output prints it.
     pub fn name(self) -> &'static str {
         match self {
             AnswerMode::Materialized => "full",
@@ -576,8 +576,8 @@ impl AnswerCursor {
     }
 
     /// The maximum number of rows ever buffered between expansion and emission —
-    /// the cursor's answer-memory high-water mark, reported by the perf harness
-    /// against the materialised table's row count.
+    /// the cursor's answer-memory high-water mark, never more than the
+    /// materialised table's row count.
     pub fn peak_buffered_rows(&self) -> usize {
         self.peak_buffered_rows
     }

@@ -148,6 +148,28 @@ impl QueryId {
     }
 }
 
+/// Name of the reachability workload: transitive contact chains through the
+/// structural Kleene closure (it has no Q-number in the paper).
+pub const REACH_QUERY_NAME: &str = "REACH";
+
+/// Text of the [`REACH_QUERY_NAME`] workload.
+pub const REACH_QUERY_TEXT: &str =
+    "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-(y:Person) ON contact_tracing";
+
+/// Name of the recurring-contact workload: chains of meetings each followed by a
+/// step forward in time, ending on a positive test — mixed structural/temporal
+/// repetition, executed by the engine's time-aware closure.
+pub const RECUR_QUERY_NAME: &str = "RECUR";
+
+/// Text of the [`RECUR_QUERY_NAME`] workload.
+pub const RECUR_QUERY_TEXT: &str = "MATCH (x:Person {risk = 'high'})\
+                                    -/(FWD/:meets/FWD/NEXT)*/NEXT*/-({test = 'pos'}) \
+                                    ON contact_tracing";
+
+/// The two closure workloads as `(name, text)` pairs: REACH, then RECUR.
+pub const CLOSURE_QUERIES: [(&str, &str); 2] =
+    [(REACH_QUERY_NAME, REACH_QUERY_TEXT), (RECUR_QUERY_NAME, RECUR_QUERY_TEXT)];
+
 /// All twelve queries as `(id, parsed clause)` pairs.
 pub fn all_queries() -> Vec<(QueryId, MatchClause)> {
     QueryId::ALL.iter().map(|&id| (id, id.clause())).collect()
@@ -207,5 +229,14 @@ mod tests {
         // Queries without indicators are returned unchanged.
         let q1 = QueryId::Q1.with_temporal_bound(99).unwrap();
         assert_eq!(q1, QueryId::Q1.clause());
+    }
+
+    #[test]
+    fn closure_queries_parse_and_rewrite() {
+        for (name, text) in CLOSURE_QUERIES {
+            let clause = parse_match(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let rewritten = rewrite_match(&clause).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(rewritten.graph, "contact_tracing", "{name}");
+        }
     }
 }

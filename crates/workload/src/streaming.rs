@@ -154,7 +154,7 @@ pub fn stream_contact_batches(config: &ContactTracingConfig) -> Vec<Batch> {
 }
 
 /// The total number of mutations across a batch stream — the unit of ingest
-/// throughput reported by the perf harness.
+/// throughput reported by `tpath-serve`.
 pub fn mutation_count(batches: &[Batch]) -> usize {
     batches.iter().map(|b| b.mutations.len()).sum()
 }

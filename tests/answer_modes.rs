@@ -14,16 +14,9 @@ use engine::{
     AnswerMode, Binding, CompactAnswers, ExecutionOptions, GraphRelations, JoinStrategy, Query,
 };
 use tgraph::{Interval, IntervalSet, Itpg, ItpgBuilder, Time};
-use trpq::queries::QueryId;
+use trpq::queries::{QueryId, CLOSURE_QUERIES};
 
 const MAX_TIME: Time = 7;
-
-/// The closure workloads of the perf harness (`bench::REACH_QUERY_TEXT` /
-/// `RECUR_QUERY_TEXT`), the queries whose output most rewards lazy answers.
-const REACH: &str =
-    "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-(y:Person) ON contact_tracing";
-const RECUR: &str = "MATCH (x:Person {risk = 'high'})\
-                     -/(FWD/:meets/FWD/NEXT)*/NEXT*/-({test = 'pos'}) ON contact_tracing";
 
 fn interval_strategy() -> impl Strategy<Value = Interval> {
     (0..=MAX_TIME, 0..=3u64)
@@ -105,6 +98,10 @@ fn check_modes(query: &Query, graph: &GraphRelations, label: &str) {
         "{label}: cursor must stream the canonical table"
     );
     assert_eq!(answers.stats().output_rows, table.len(), "{label}: honest cursor stats");
+    assert!(
+        answers.stats().peak_buffered_rows <= table.len(),
+        "{label}: the cursor buffered more rows than the full table"
+    );
 
     let answers = query.clone().with_mode(AnswerMode::Compact).run(graph);
     let compact = answers.compact().expect("compact mode returns interval answers");
@@ -114,6 +111,10 @@ fn check_modes(query: &Query, graph: &GraphRelations, label: &str) {
         "{label}: compact answers must equal the coalesced table projection"
     );
     assert_eq!(answers.stats().output_rows, compact.num_pairs(), "{label}: honest pair stats");
+    assert!(
+        compact.num_pairs() <= table.len(),
+        "{label}: compact answers hold more pairs than the table has rows"
+    );
 }
 
 proptest! {
@@ -128,7 +129,7 @@ proptest! {
                 let query = Query::benchmark(id).with_options(options);
                 check_modes(&query, &graph, &format!("{} under {strategy}", id.name()));
             }
-            for (name, text) in [("REACH", REACH), ("RECUR", RECUR)] {
+            for (name, text) in CLOSURE_QUERIES {
                 let query = Query::parse(text)
                     .expect("closure workloads compile")
                     .with_options(options);

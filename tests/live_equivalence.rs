@@ -14,13 +14,9 @@ use proptest::prelude::*;
 use engine::{compile, execute, ExecutionOptions, GraphRelations, JoinStrategy};
 use live::LiveGraph;
 use tgraph::{Batch, Interval, IntervalSet, Itpg, Mutation};
-use trpq::queries::QueryId;
+use trpq::queries::{QueryId, CLOSURE_QUERIES};
 
 const MAX_TIME: u64 = 14;
-
-const REACH: &str = "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-(y:Person) ON live";
-const RECUR: &str = "MATCH (x:Person {risk = 'high'})\
-                     -/(FWD/:meets/FWD/NEXT)*/NEXT*/-({test = 'pos'}) ON live";
 
 /// Raw generator output for one node: existence layout plus property draws.
 #[derive(Debug, Clone)]
@@ -236,7 +232,7 @@ proptest! {
             plan_sets.push(engine::queries::plan_for(id));
             names.push(id.name().to_string());
         }
-        for (name, text) in [("REACH", REACH), ("RECUR", RECUR)] {
+        for (name, text) in CLOSURE_QUERIES {
             let clause = trpq::parser::parse_match(text).expect("closure queries parse");
             plan_sets.push(compile(&clause).expect("closure queries compile"));
             names.push(name.to_string());
@@ -265,6 +261,16 @@ proptest! {
                         live.epoch()
                     );
                     prop_assert_eq!(refreshed[index].output_rows, expected.table.len());
+                    // Fixed-hop plans are always maintained by delta, never by
+                    // the closure queries' conservative full recompute.
+                    if index < QueryId::ALL.len() {
+                        prop_assert!(
+                            !refreshed[index].fallback_full,
+                            "{} under {} fell back to full recompute",
+                            name,
+                            strategy
+                        );
+                    }
                 }
             }
         }

@@ -18,18 +18,9 @@ use engine::{
     Query, SchemaSummary,
 };
 use tgraph::{Interval, IntervalSet, Itpg, ItpgBuilder, Time};
-use trpq::queries::QueryId;
+use trpq::queries::{QueryId, CLOSURE_QUERIES};
 
 const MAX_TIME: Time = 7;
-
-/// The closure workloads of the perf harness (`bench::REACH_QUERY_TEXT` /
-/// `RECUR_QUERY_TEXT`): REACH exercises the unbounded structural star the
-/// optimizer must leave alone, RECUR the time-advancing closure whose window
-/// it tightens to the domain span.
-const REACH: &str =
-    "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-(y:Person) ON contact_tracing";
-const RECUR: &str = "MATCH (x:Person {risk = 'high'})\
-                     -/(FWD/:meets/FWD/NEXT)*/NEXT*/-({test = 'pos'}) ON contact_tracing";
 
 fn interval_strategy() -> impl Strategy<Value = Interval> {
     (0..=MAX_TIME, 0..=3u64)
@@ -130,7 +121,10 @@ proptest! {
                 let query = Query::benchmark(id).with_options(options);
                 check_equivalence(&query, &graph, &format!("{} under {strategy}", id.name()));
             }
-            for (name, text) in [("REACH", REACH), ("RECUR", RECUR)] {
+            // REACH exercises the unbounded structural star the optimizer must
+            // leave alone, RECUR the time-advancing closure whose window it
+            // tightens to the domain span.
+            for (name, text) in CLOSURE_QUERIES {
                 let query = Query::parse(text)
                     .expect("closure workloads compile")
                     .with_options(options);

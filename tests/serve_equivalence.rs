@@ -20,12 +20,8 @@ use engine::{
 };
 use live::serve::{Request, ServeGraph, Server};
 use tgraph::{Batch, Interval, Itpg};
-use trpq::queries::QueryId;
+use trpq::queries::{QueryId, CLOSURE_QUERIES};
 use workload::{stream_contact_batches, ContactTracingConfig};
-
-const REACH: &str = "MATCH (x:Person {risk = 'high'})-/(FWD/:meets/FWD)*/-(y:Person) ON live";
-const RECUR: &str = "MATCH (x:Person {risk = 'high'})\
-                     -/(FWD/:meets/FWD/NEXT)*/NEXT*/-({test = 'pos'}) ON live";
 
 /// Q1–Q12 plus the two closure queries, with display names.
 fn suite() -> Vec<(String, PlanSet)> {
@@ -33,7 +29,7 @@ fn suite() -> Vec<(String, PlanSet)> {
         .into_iter()
         .map(|id| (id.name().to_string(), engine::queries::plan_for(id)))
         .collect();
-    for (name, text) in [("REACH", REACH), ("RECUR", RECUR)] {
+    for (name, text) in CLOSURE_QUERIES {
         let clause = trpq::parser::parse_match(text).expect("closure queries parse");
         out.push((name.to_string(), compile(&clause).expect("closure queries compile")));
     }
