@@ -1,14 +1,14 @@
-//! Sort-merge joins over key-sorted slices.
+//! The sort-merge join over key-sorted slices.
 //!
-//! The merge join is the order-exploiting counterpart of [`crate::operators::join`]:
-//! when both inputs are sorted by the join key, a single linear pass pairs up the
-//! matching key groups without building a hash table.  The interval variant keeps only
-//! temporally-aligned matches, exactly like `interval_hash_join`, and is the engine's
-//! `JoinStrategy::Merge` implementation.
+//! When both inputs are sorted by the join key, one pass pairs up the matching key
+//! groups without building a hash table, galloping over the groups that do not
+//! match.  [`interval_merge_join_gallop`] keeps only temporally-aligned matches and is
+//! the engine's `JoinStrategy::Merge` implementation (the hash side is the engine's
+//! own per-key adjacency probe).
 
 use tgraph::Interval;
 
-/// True if `key` is non-decreasing over `items` — the precondition of the merge joins.
+/// True if `key` is non-decreasing over `items` — the precondition of the merge join.
 pub fn is_key_sorted<T, K, F>(items: &[T], key: F) -> bool
 where
     K: Ord,
@@ -17,85 +17,18 @@ where
     items.windows(2).all(|w| key(&w[0]) <= key(&w[1]))
 }
 
-/// Plain equi merge join: returns every pair of left and right rows with equal keys.
+/// Plain equi merge join with *galloping* group seeks: returns every pair of left
+/// and right rows with equal keys, in left-major order (left groups in key order,
+/// the pairs of one group in right order).  Both inputs **must** be sorted by their
+/// key (checked with a debug assertion).
 ///
-/// Both inputs **must** be sorted by their key (checked with a debug assertion); the
-/// output is produced in left-major order (left groups in key order, the pairs of one
-/// group in right order).  The result multiset is identical to
-/// [`crate::operators::join::hash_join`] on the same inputs.
-pub fn merge_join<'a, L, R, K, FL, FR>(
-    left: &'a [L],
-    right: &'a [R],
-    left_key: FL,
-    right_key: FR,
-) -> Vec<(&'a L, &'a R)>
-where
-    K: Ord,
-    FL: Fn(&L) -> K,
-    FR: Fn(&R) -> K,
-{
-    debug_assert!(is_key_sorted(left, &left_key), "merge_join: left input not key-sorted");
-    debug_assert!(is_key_sorted(right, &right_key), "merge_join: right input not key-sorted");
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < left.len() && j < right.len() {
-        let lk = left_key(&left[i]);
-        let rk = right_key(&right[j]);
-        if lk < rk {
-            i += 1;
-        } else if lk > rk {
-            j += 1;
-        } else {
-            // Delimit the two key groups and emit their cross product.
-            let i_end = group_end(left, i, &left_key);
-            let j_end = group_end(right, j, &right_key);
-            for l in &left[i..i_end] {
-                for r in &right[j..j_end] {
-                    out.push((l, r));
-                }
-            }
-            i = i_end;
-            j = j_end;
-        }
-    }
-    out
-}
-
-/// Temporally-aligned merge join: joins key-sorted rows with equal keys whose validity
-/// intervals intersect, producing the intersection as the validity interval of the
-/// output row.  The merge counterpart of
-/// [`crate::operators::join::interval_hash_join`].
-pub fn interval_merge_join<'a, L, R, K, FL, FR, IL, IR>(
-    left: &'a [L],
-    right: &'a [R],
-    left_key: FL,
-    right_key: FR,
-    left_interval: IL,
-    right_interval: IR,
-) -> Vec<(&'a L, &'a R, Interval)>
-where
-    K: Ord,
-    FL: Fn(&L) -> K,
-    FR: Fn(&R) -> K,
-    IL: Fn(&L) -> Interval,
-    IR: Fn(&R) -> Interval,
-{
-    merge_join(left, right, left_key, right_key)
-        .into_iter()
-        .filter_map(|(l, r)| left_interval(l).intersect(&right_interval(r)).map(|iv| (l, r, iv)))
-        .collect()
-}
-
-/// Plain equi merge join with *galloping* group seeks: identical output to
-/// [`merge_join`], but on a key mismatch the lagging side jumps to the next
-/// candidate group with an exponential probe followed by a binary search instead
-/// of advancing one row at a time.
-///
-/// A join that matches only a few key groups of a long key-sorted permutation
-/// therefore costs `O(matches + Σ log(jump distance))` rather than
-/// `O(|permutation|)` — the merge-path counterpart of probing a hash index,
-/// while still streaming both inputs in order.
-pub fn merge_join_gallop<'a, L, R, K, FL, FR>(
+/// On a key mismatch the lagging side jumps to the next candidate group with an
+/// exponential probe followed by a binary search instead of advancing one row at a
+/// time, so a join that matches only a few key groups of a long key-sorted
+/// permutation costs `O(matches + Σ log(jump distance))` rather than
+/// `O(|permutation|)` — the merge-path counterpart of probing a hash index, while
+/// still streaming both inputs in order.
+fn merge_join_gallop<'a, L, R, K, FL, FR>(
     left: &'a [L],
     right: &'a [R],
     left_key: FL,
@@ -135,10 +68,12 @@ where
     out
 }
 
-/// Temporally-aligned merge join with galloping group seeks: identical output to
-/// [`interval_merge_join`], with the seek behaviour of [`merge_join_gallop`].
-/// This is what the engine's merge strategy runs against the key-sorted row
-/// permutations, so very selective hops stop paying for the whole permutation.
+/// Temporally-aligned merge join with galloping group seeks: joins key-sorted rows
+/// with equal keys whose validity intervals intersect, producing the intersection as
+/// the validity interval of the output row, in the left-major order of
+/// `merge_join_gallop`.  This is what the engine's merge strategy runs against the
+/// key-sorted row permutations, so very selective hops stop paying for the whole
+/// permutation.
 pub fn interval_merge_join_gallop<'a, L, R, K, FL, FR, IL, IR>(
     left: &'a [L],
     right: &'a [R],
@@ -209,7 +144,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::join::{hash_join, interval_hash_join};
 
     #[derive(Debug, PartialEq)]
     struct Row {
@@ -222,25 +156,29 @@ mod tests {
         Row { key, interval: Interval::of(a, b), payload }
     }
 
-    #[test]
-    fn merge_join_matches_hash_join_on_sorted_inputs() {
-        let left =
-            vec![row(1, 0, 5, "l1"), row(2, 0, 5, "l2"), row(2, 6, 9, "l2b"), row(4, 0, 9, "l4")];
-        let right = vec![row(2, 0, 9, "r2"), row(2, 3, 4, "r2b"), row(3, 0, 9, "r3")];
-        let mut merged: Vec<(&'static str, &'static str)> =
-            merge_join(&left, &right, |l| l.key, |r| r.key)
-                .into_iter()
-                .map(|(l, r)| (l.payload, r.payload))
-                .collect();
-        let mut hashed: Vec<(&'static str, &'static str)> =
-            hash_join(&left, &right, |l| l.key, |r| r.key)
-                .into_iter()
-                .map(|(l, r)| (l.payload, r.payload))
-                .collect();
-        merged.sort_unstable();
-        hashed.sort_unstable();
-        assert_eq!(merged, hashed);
-        assert_eq!(merged.len(), 4);
+    /// Every left-right pair with equal keys and intersecting intervals, left-major:
+    /// the brute-force reference of the interval join.
+    fn nested_loop<'a>(left: &'a [Row], right: &'a [Row]) -> Vec<(&'a Row, &'a Row, Interval)> {
+        let mut out = Vec::new();
+        for l in left {
+            for r in right.iter().filter(|r| r.key == l.key) {
+                if let Some(iv) = l.interval.intersect(&r.interval) {
+                    out.push((l, r, iv));
+                }
+            }
+        }
+        out
+    }
+
+    fn gallop<'a>(left: &'a [Row], right: &'a [Row]) -> Vec<(&'a Row, &'a Row, Interval)> {
+        interval_merge_join_gallop(
+            left,
+            right,
+            |l| l.key,
+            |r| r.key,
+            |l| l.interval,
+            |r| r.interval,
+        )
     }
 
     #[test]
@@ -248,33 +186,11 @@ mod tests {
         let people =
             vec![row(10, 1, 9, "ann"), row(20, 1, 4, "bob-low"), row(20, 5, 9, "bob-high")];
         let meets = vec![row(20, 3, 3, "cafe"), row(20, 5, 6, "park")];
-        let joined = interval_merge_join(
-            &people,
-            &meets,
-            |p| p.key,
-            |m| m.key,
-            |p| p.interval,
-            |m| m.interval,
-        );
-        let mut described: Vec<(&str, &str, Interval)> =
-            joined.iter().map(|(p, m, iv)| (p.payload, m.payload, *iv)).collect();
-        described.sort_unstable();
-        let mut expected = interval_hash_join(
-            &people,
-            &meets,
-            |p| p.key,
-            |m| m.key,
-            |p| p.interval,
-            |m| m.interval,
-        )
-        .into_iter()
-        .map(|(p, m, iv)| (p.payload, m.payload, iv))
-        .collect::<Vec<_>>();
-        expected.sort_unstable();
-        assert_eq!(described, expected);
+        let described: Vec<(&str, &str, Interval)> =
+            gallop(&people, &meets).iter().map(|(p, m, iv)| (p.payload, m.payload, *iv)).collect();
         assert_eq!(
             described,
-            vec![("bob-high", "park", Interval::of(5, 6)), ("bob-low", "cafe", Interval::of(3, 3))]
+            vec![("bob-low", "cafe", Interval::of(3, 3)), ("bob-high", "park", Interval::of(5, 6))]
         );
     }
 
@@ -282,19 +198,12 @@ mod tests {
     fn empty_and_disjoint_inputs() {
         let left = vec![row(1, 0, 2, "l")];
         let right: Vec<Row> = Vec::new();
-        assert!(merge_join(&left, &right, |l| l.key, |r| r.key).is_empty());
+        assert!(gallop(&left, &right).is_empty());
+        assert!(gallop(&right, &left).is_empty());
         let right = vec![row(1, 3, 5, "r")];
         // Keys join but the intervals are disjoint.
-        assert_eq!(merge_join(&left, &right, |l| l.key, |r| r.key).len(), 1);
-        assert!(interval_merge_join(
-            &left,
-            &right,
-            |l| l.key,
-            |r| r.key,
-            |l| l.interval,
-            |r| r.interval
-        )
-        .is_empty());
+        assert_eq!(merge_join_gallop(&left, &right, |l| l.key, |r| r.key).len(), 1);
+        assert!(gallop(&left, &right).is_empty());
     }
 
     #[test]
@@ -304,37 +213,16 @@ mod tests {
         let left = vec![row(7, 0, 9, "l7"), row(7, 2, 4, "l7b"), row(900, 0, 9, "l900")];
         let right: Vec<Row> =
             (0..1000u32).map(|k| row(k, (k % 5) as u64, (k % 5 + 3) as u64, "r")).collect();
-        let plain: Vec<(u32, u32)> = merge_join(&left, &right, |l| l.key, |r| r.key)
-            .into_iter()
-            .map(|(l, r)| (l.key, r.key))
-            .collect();
         let galloped: Vec<(u32, u32)> = merge_join_gallop(&left, &right, |l| l.key, |r| r.key)
             .into_iter()
             .map(|(l, r)| (l.key, r.key))
             .collect();
-        assert_eq!(plain, galloped);
-        assert_eq!(galloped.len(), 3);
+        assert_eq!(galloped, vec![(7, 7), (7, 7), (900, 900)]);
 
-        let plain_iv = interval_merge_join(
-            &left,
-            &right,
-            |l| l.key,
-            |r| r.key,
-            |l| l.interval,
-            |r| r.interval,
-        );
-        let galloped_iv = interval_merge_join_gallop(
-            &left,
-            &right,
-            |l| l.key,
-            |r| r.key,
-            |l| l.interval,
-            |r| r.interval,
-        );
-        assert_eq!(
-            plain_iv.iter().map(|(l, r, iv)| (l.key, r.key, *iv)).collect::<Vec<_>>(),
-            galloped_iv.iter().map(|(l, r, iv)| (l.key, r.key, *iv)).collect::<Vec<_>>()
-        );
+        let described = |rows: Vec<(&Row, &Row, Interval)>| -> Vec<(&str, u32, Interval)> {
+            rows.into_iter().map(|(l, r, iv)| (l.payload, r.key, iv)).collect()
+        };
+        assert_eq!(described(gallop(&left, &right)), described(nested_loop(&left, &right)));
     }
 
     #[test]

@@ -1,11 +1,3 @@
-//! Relational dataflow operators with temporal awareness.
+//! The temporally-aligned join the engine's merge strategy runs.
 
-pub mod coalesce;
-pub mod join;
-pub mod merge_join;
-
-pub use coalesce::{coalesce, point_count};
-pub use join::{hash_join, interval_hash_join};
-pub use merge_join::{
-    interval_merge_join, interval_merge_join_gallop, is_key_sorted, merge_join, merge_join_gallop,
-};
+pub(crate) mod merge_join;

@@ -94,37 +94,6 @@ fn balanced_chunks<T>(items: &[T], chunks: usize) -> Vec<&[T]> {
     out
 }
 
-/// Parallel map over the items of a slice, preserving order.
-pub fn par_map<T, U, F>(items: &[T], parallelism: Parallelism, op: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_chunk_flat_map(items, parallelism, |chunk| chunk.iter().map(&op).collect())
-}
-
-/// Parallel flat-map over the items of a slice, preserving order.
-pub fn par_flat_map<T, U, F>(items: &[T], parallelism: Parallelism, op: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> Vec<U> + Sync,
-{
-    par_chunk_flat_map(items, parallelism, |chunk| chunk.iter().flat_map(&op).collect())
-}
-
-/// Parallel filter over the items of a slice, preserving order.
-pub fn par_filter<T, F>(items: &[T], parallelism: Parallelism, predicate: F) -> Vec<T>
-where
-    T: Sync + Send + Clone,
-    F: Fn(&T) -> bool + Sync,
-{
-    par_chunk_flat_map(items, parallelism, |chunk| {
-        chunk.iter().filter(|item| predicate(item)).cloned().collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,13 +123,19 @@ mod tests {
 
     #[test]
     fn map_filter_and_flat_map() {
+        // Chunks whose outputs shrink (filter) or grow (flat-map) still
+        // concatenate in input order.
         let items: Vec<u64> = (0..100).collect();
         let p = Parallelism::with_threads(4);
-        assert_eq!(par_map(&items, p, |x| x + 1)[99], 100);
-        assert_eq!(par_filter(&items, p, |x| x % 2 == 0).len(), 50);
-        let expanded = par_flat_map(&items, p, |x| vec![*x, *x]);
+        let evens = par_chunk_flat_map(&items, p, |chunk| {
+            chunk.iter().copied().filter(|x| x % 2 == 0).collect()
+        });
+        assert_eq!(evens, (0..100).step_by(2).collect::<Vec<u64>>());
+        let expanded =
+            par_chunk_flat_map(&items, p, |chunk| chunk.iter().flat_map(|&x| [x, x]).collect());
         assert_eq!(expanded.len(), 200);
         assert_eq!(&expanded[0..4], &[0, 0, 1, 1]);
+        assert_eq!(&expanded[196..], &[98, 98, 99, 99]);
     }
 
     /// Records the chunk sizes `par_chunk_flat_map` actually hands to workers.
@@ -198,12 +173,16 @@ mod tests {
 
     #[test]
     fn degenerate_inputs() {
+        let ids = |chunk: &[u64]| chunk.to_vec();
         let empty: Vec<u64> = Vec::new();
-        assert!(par_map(&empty, Parallelism::with_threads(8), |x| *x).is_empty());
+        assert!(par_chunk_flat_map(&empty, Parallelism::with_threads(8), ids).is_empty());
         let single = vec![42u64];
-        assert_eq!(par_map(&single, Parallelism::with_threads(8), |x| *x), vec![42]);
+        assert_eq!(par_chunk_flat_map(&single, Parallelism::with_threads(8), ids), vec![42]);
         // More threads than items.
         let few: Vec<u64> = (0..3).collect();
-        assert_eq!(par_map(&few, Parallelism::with_threads(16), |x| x * 10), vec![0, 10, 20]);
+        let tenfold = par_chunk_flat_map(&few, Parallelism::with_threads(16), |chunk| {
+            chunk.iter().map(|x| x * 10).collect()
+        });
+        assert_eq!(tenfold, vec![0, 10, 20]);
     }
 }

@@ -1,12 +1,11 @@
-//! A sorted columnar representation of interval relations, plus the k-way-merge
-//! machinery that exploits it.
+//! Sorted interval relations, plus the k-way merge that combines sorted runs.
 //!
 //! [`SortedRelation`] keeps `(key, interval, payload)` rows sorted by join key, then
-//! interval start — the invariant under which joins degrade to linear merges
-//! ([`mod@crate::operators::merge_join`]) and temporal coalescing degrades to a single
-//! scan ([`coalesce_sorted`]).  [`kway_merge`] combines several sorted runs (for
-//! example the per-chunk outputs of the parallel executor) into one sorted run with a
-//! binary heap instead of re-sorting the concatenation.
+//! interval — the order of the engine's key-sorted permutations, which
+//! [`SortedRelation::union_merge`] maintains without a re-sort.  [`kway_merge_dedup`]
+//! combines several sorted runs (for example the per-chunk outputs of the parallel
+//! executor) into one sorted, duplicate-free run with a binary heap instead of
+//! re-sorting the concatenation.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -23,46 +22,15 @@ pub struct SortedRelation<K, V> {
 }
 
 impl<K: Ord, V> SortedRelation<K, V> {
-    /// Builds a sorted relation from arbitrary rows, sorting them.
-    pub fn from_rows(mut rows: Vec<(K, Interval, V)>) -> Self {
-        rows.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        SortedRelation { rows }
-    }
-
     /// Wraps rows that are already sorted; returns `None` if they are not.
     pub fn from_sorted(rows: Vec<(K, Interval, V)>) -> Option<Self> {
         let sorted = rows.windows(2).all(|w| (&w[0].0, w[0].1) <= (&w[1].0, w[1].1));
         sorted.then_some(SortedRelation { rows })
     }
 
-    /// The empty relation.
-    pub fn empty() -> Self {
-        SortedRelation { rows: Vec::new() }
-    }
-
-    /// The number of rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if the relation has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Borrows the rows (sorted by key, then interval start).
-    pub fn rows(&self) -> &[(K, Interval, V)] {
-        &self.rows
-    }
-
     /// Consumes the relation and returns its rows.
     pub fn into_rows(self) -> Vec<(K, Interval, V)> {
         self.rows
-    }
-
-    /// Iterates over the rows.
-    pub fn iter(&self) -> std::slice::Iter<'_, (K, Interval, V)> {
-        self.rows.iter()
     }
 
     /// Merges two sorted relations into one, preserving the sort invariant with a
@@ -101,43 +69,10 @@ impl<K: Ord, V> SortedRelation<K, V> {
     }
 }
 
-impl<K: Ord + Clone, V> SortedRelation<K, V> {
-    /// Temporally-aligned merge join with another sorted relation: pairs rows with
-    /// equal keys whose intervals intersect; the output row carries the intersection
-    /// and both payloads, and the output relation is again key/start-sorted.
-    pub fn interval_merge_join<'a, W>(
-        &'a self,
-        other: &'a SortedRelation<K, W>,
-    ) -> SortedRelation<K, (&'a V, &'a W)> {
-        let joined = crate::operators::merge_join::interval_merge_join(
-            &self.rows,
-            &other.rows,
-            |l| l.0.clone(),
-            |r| r.0.clone(),
-            |l| l.1,
-            |r| r.1,
-        );
-        let mut rows: Vec<(K, Interval, (&V, &W))> =
-            joined.into_iter().map(|(l, r, iv)| (l.0.clone(), iv, (&l.2, &r.2))).collect();
-        // The join emits keys in order, but the intersections within one key group are
-        // not necessarily start-sorted; restore the invariant.
-        rows.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        SortedRelation { rows }
-    }
-
-    /// Coalesces the `(key, interval)` projection of the relation in a single linear
-    /// pass (see [`coalesce_sorted`]).
-    pub fn coalesce_keys(&self) -> Vec<(K, Interval)> {
-        coalesce_sorted(self.rows.iter().map(|(k, iv, _)| (k.clone(), *iv)))
-    }
-}
-
-/// Merges sorted runs into one sorted sequence with a binary heap.
-///
-/// Each run must be sorted (`Ord` on the element type); ties across runs are broken by
-/// run index, making the merge deterministic.  This is the order-exploiting rewrite of
-/// `concatenate + sort` used to combine per-worker outputs.
-pub fn kway_merge<T: Ord>(runs: Vec<Vec<T>>) -> Vec<T> {
+/// Merges sorted runs into one sorted sequence with a binary heap.  Each run must be
+/// sorted (`Ord` on the element type); ties across runs are broken by run index,
+/// making the merge deterministic.
+fn kway_merge<T: Ord>(runs: Vec<Vec<T>>) -> Vec<T> {
     let total: usize = runs.iter().map(Vec::len).sum();
     let mut iters: Vec<std::vec::IntoIter<T>> = runs.into_iter().map(Vec::into_iter).collect();
     let mut heap: BinaryHeap<Reverse<(T, usize)>> = BinaryHeap::with_capacity(iters.len());
@@ -156,59 +91,18 @@ pub fn kway_merge<T: Ord>(runs: Vec<Vec<T>>) -> Vec<T> {
     out
 }
 
-/// [`kway_merge`] with duplicate elimination: equal elements (within or across runs)
-/// are emitted once.
+/// Merges sorted runs into one sorted sequence in which equal elements (within or
+/// across runs) appear once: the order-exploiting rewrite of `concatenate + sort +
+/// dedup` used to combine per-worker outputs.
 pub fn kway_merge_dedup<T: Ord>(runs: Vec<Vec<T>>) -> Vec<T> {
     let mut out = kway_merge(runs);
     out.dedup();
     out
 }
 
-/// Coalesces `(key, interval)` rows that are sorted by `(key, interval.start)` in one
-/// linear pass: rows with the same key whose intervals overlap or meet are merged into
-/// maximal intervals.  Produces the same output as
-/// [`crate::operators::coalesce::coalesce`] but without hashing, by exploiting the
-/// sort order.
-pub fn coalesce_sorted<K, I>(rows: I) -> Vec<(K, Interval)>
-where
-    K: Ord + Clone,
-    I: IntoIterator<Item = (K, Interval)>,
-{
-    let mut out: Vec<(K, Interval)> = Vec::new();
-    let mut current: Option<(K, Interval)> = None;
-    for (key, interval) in rows {
-        if let Some((cur_key, cur_iv)) = &mut current {
-            debug_assert!(
-                (&*cur_key, cur_iv.start()) <= (&key, interval.start()),
-                "coalesce_sorted: input rows not sorted by (key, start)"
-            );
-            // Overlapping or meeting: start ≤ end + 1.  `saturating_add` is exact here
-            // because an interval ending at Time::MAX leaves no representable gap.
-            if *cur_key == key && interval.start() <= cur_iv.end().saturating_add(1) {
-                *cur_iv = Interval::of(cur_iv.start(), cur_iv.end().max(interval.end()));
-                continue;
-            }
-            out.push((cur_key.clone(), *cur_iv));
-        }
-        current = Some((key, interval));
-    }
-    if let Some(last) = current {
-        out.push(last);
-    }
-    out
-}
-
-/// Coalesces several key/start-sorted runs of `(key, interval)` rows by k-way-merging
-/// them and coalescing the merged stream in the same pass.  The sorted, multi-run
-/// rewrite of [`crate::operators::coalesce::coalesce`].
-pub fn coalesce_kway<K: Ord + Clone>(runs: Vec<Vec<(K, Interval)>>) -> Vec<(K, Interval)> {
-    coalesce_sorted(kway_merge(runs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operators::coalesce::coalesce;
 
     fn iv(a: u64, b: u64) -> Interval {
         Interval::of(a, b)
@@ -216,45 +110,28 @@ mod tests {
 
     #[test]
     fn construction_sorts_and_validates() {
-        let rel = SortedRelation::from_rows(vec![
-            ("b", iv(1, 2), 0u8),
-            ("a", iv(5, 9), 1),
-            ("a", iv(0, 3), 2),
-        ]);
-        let keys: Vec<(&str, Interval)> = rel.iter().map(|(k, i, _)| (*k, *i)).collect();
-        assert_eq!(keys, vec![("a", iv(0, 3)), ("a", iv(5, 9)), ("b", iv(1, 2))]);
-        assert!(SortedRelation::from_sorted(rel.clone().into_rows()).is_some());
+        let rows = vec![("a", iv(0, 3), 2u8), ("a", iv(5, 9), 1), ("b", iv(1, 2), 0)];
+        let rel = SortedRelation::from_sorted(rows.clone()).expect("rows are sorted");
+        assert_eq!(rel.into_rows(), rows);
         assert!(
             SortedRelation::from_sorted(vec![("b", iv(1, 2), 0u8), ("a", iv(0, 3), 1)]).is_none()
         );
-        assert!(SortedRelation::<u32, ()>::empty().is_empty());
+        // Same key: the interval breaks the tie.
+        assert!(
+            SortedRelation::from_sorted(vec![("a", iv(5, 9), 0u8), ("a", iv(0, 3), 1)]).is_none()
+        );
+        assert!(SortedRelation::<u32, ()>::from_sorted(Vec::new()).is_some());
     }
 
     #[test]
     fn union_merge_preserves_the_invariant() {
-        let a = SortedRelation::from_rows(vec![(1u32, iv(0, 1), "a"), (3, iv(0, 1), "c")]);
-        let b = SortedRelation::from_rows(vec![(2u32, iv(0, 1), "b"), (3, iv(0, 0), "d")]);
-        let merged = a.union_merge(b);
-        assert_eq!(merged.len(), 4);
-        assert!(SortedRelation::from_sorted(merged.into_rows()).is_some());
-    }
-
-    #[test]
-    fn interval_merge_join_on_sorted_relations() {
-        let people = SortedRelation::from_rows(vec![
-            (10u32, iv(1, 9), "ann"),
-            (20, iv(1, 4), "bob-low"),
-            (20, iv(5, 9), "bob-high"),
-        ]);
-        let meets =
-            SortedRelation::from_rows(vec![(20u32, iv(3, 3), "cafe"), (20, iv(5, 6), "park")]);
-        let joined = people.interval_merge_join(&meets);
-        let rows: Vec<(u32, Interval, (&str, &str))> =
-            joined.iter().map(|(k, i, (p, m))| (*k, *i, (**p, **m))).collect();
-        assert_eq!(
-            rows,
-            vec![(20, iv(3, 3), ("bob-low", "cafe")), (20, iv(5, 6), ("bob-high", "park")),]
-        );
+        let sorted = |rows| SortedRelation::from_sorted(rows).expect("rows are sorted");
+        let a = sorted(vec![(1u32, iv(0, 1), "a"), (3, iv(0, 1), "c")]);
+        let b = sorted(vec![(2u32, iv(0, 1), "b"), (3, iv(0, 0), "d")]);
+        let merged = a.union_merge(b).into_rows();
+        let payloads: Vec<&str> = merged.iter().map(|(_, _, p)| *p).collect();
+        assert_eq!(payloads, vec!["a", "b", "d", "c"]);
+        assert!(SortedRelation::from_sorted(merged).is_some());
     }
 
     #[test]
@@ -263,27 +140,5 @@ mod tests {
         assert_eq!(kway_merge(runs.clone()), vec![1, 2, 2, 3, 4, 5, 9, 9]);
         assert_eq!(kway_merge_dedup(runs), vec![1, 2, 3, 4, 5, 9]);
         assert_eq!(kway_merge::<u32>(vec![]), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn coalesce_sorted_matches_hash_coalesce() {
-        let rows = vec![
-            ("a", iv(1, 3)),
-            ("a", iv(4, 6)),
-            ("a", iv(9, 9)),
-            ("b", iv(2, 5)),
-            ("b", iv(4, 7)),
-        ];
-        assert_eq!(coalesce_sorted(rows.clone()), coalesce(rows));
-        assert_eq!(coalesce_sorted(Vec::<(&str, Interval)>::new()), vec![]);
-    }
-
-    #[test]
-    fn coalesce_kway_merges_across_runs() {
-        let runs =
-            vec![vec![("a", iv(1, 3)), ("b", iv(0, 0))], vec![("a", iv(4, 6)), ("b", iv(2, 4))]];
-        let mut flat: Vec<(&str, Interval)> = runs.iter().flatten().copied().collect();
-        flat.sort_unstable();
-        assert_eq!(coalesce_kway(runs), coalesce(flat));
     }
 }

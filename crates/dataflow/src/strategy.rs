@@ -4,15 +4,14 @@
 //! The paper's engine (Section VI) evaluates structural navigation with in-memory
 //! joins over interval relations.  Two physical implementations are available:
 //!
-//! * **Hash** — probe a hash (or precomputed per-key) index of one side with the rows
-//!   of the other ([`crate::operators::join`]).  Insensitive to input order.
-//! * **Merge** — a linear sort-merge pass over two inputs that are both sorted by the
-//!   join key ([`mod@crate::operators::merge_join`]).  Cache-friendly and allocation-free
-//!   on the probe path, but only correct on key-sorted inputs.
+//! * **Hash** — probe the engine's precomputed per-key adjacency index with the rows
+//!   of the other side.  Insensitive to input order.
+//! * **Merge** — a galloping sort-merge pass over two inputs that are both sorted by
+//!   the join key ([`crate::interval_merge_join_gallop`]).  Cache-friendly and
+//!   allocation-free on the probe path, but only correct on key-sorted inputs.
 //!
 //! [`JoinStrategy::Auto`] resolves the choice per join from the actual sortedness of
-//! the inputs: merge when both sides are already key-sorted (as the engine's seed-row
-//! expansion naturally produces), hash otherwise.
+//! the inputs and their sizes ([`JoinStrategy::resolve_with_hint`]).
 
 use std::fmt;
 use std::str::FromStr;
@@ -24,17 +23,18 @@ pub enum JoinStrategy {
     Hash,
     /// Always sort-merge; inputs that are not key-sorted are sorted first.
     Merge,
-    /// Pick per join: merge when the inputs are already key-sorted, hash otherwise.
+    /// Pick per join: merge when the inputs are already key-sorted and the probe side
+    /// is not vanishingly small, hash otherwise.
     #[default]
     Auto,
 }
 
-/// The concrete algorithm chosen for one join after [`JoinStrategy::resolve`].
+/// The concrete algorithm chosen for one join by [`JoinStrategy::resolve_with_hint`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResolvedJoin {
     /// Probe a hash / per-key index.
     Hash,
-    /// Linear merge over key-sorted inputs.
+    /// Galloping merge over key-sorted inputs.
     Merge,
 }
 
@@ -43,38 +43,16 @@ pub enum ResolvedJoin {
 /// permutation (galloping over unmatched groups), so a tiny probe batch against a
 /// long permutation is better served by the precomputed per-key hash indexes; a
 /// probe batch of comparable size amortises the stream and wins on locality.
-pub const AUTO_MERGE_PROBE_RATIO: usize = 8;
+const AUTO_MERGE_PROBE_RATIO: usize = 8;
 
 impl JoinStrategy {
-    /// Resolves the strategy for one join, given whether the join inputs are already
-    /// sorted by the join key.
-    ///
-    /// `Hash` and `Merge` are unconditional; `Auto` picks merge exactly when the
-    /// inputs are sorted (so no extra sort is ever paid on the auto path).  Callers
-    /// that know the input cardinalities should prefer
-    /// [`JoinStrategy::resolve_with_hint`], which adds a cost guard on top of the
-    /// sortedness rule.
-    pub fn resolve(self, inputs_key_sorted: bool) -> ResolvedJoin {
-        match self {
-            JoinStrategy::Hash => ResolvedJoin::Hash,
-            JoinStrategy::Merge => ResolvedJoin::Merge,
-            JoinStrategy::Auto => {
-                if inputs_key_sorted {
-                    ResolvedJoin::Merge
-                } else {
-                    ResolvedJoin::Hash
-                }
-            }
-        }
-    }
-
     /// Resolves the strategy for one join from input sortedness *and* a simple cost
     /// heuristic: probe-side row count versus indexed-side row count.
     ///
     /// `Hash` and `Merge` stay unconditional.  `Auto` picks merge only when the
     /// inputs are key-sorted (merging unsorted inputs would pay a sort) **and** the
     /// probe side is not vanishingly small relative to the indexed side —
-    /// `probe_rows × `[`AUTO_MERGE_PROBE_RATIO`]` ≥ index_rows` — since a handful of
+    /// `probe_rows × 8 ≥ index_rows` — since a handful of
     /// probes against a long permutation resolve faster through the per-key hash
     /// indexes than through a merge stream.
     pub fn resolve_with_hint(
@@ -134,14 +112,6 @@ impl FromStr for JoinStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn resolution_honours_sortedness_only_for_auto() {
-        assert_eq!(JoinStrategy::Hash.resolve(true), ResolvedJoin::Hash);
-        assert_eq!(JoinStrategy::Merge.resolve(false), ResolvedJoin::Merge);
-        assert_eq!(JoinStrategy::Auto.resolve(true), ResolvedJoin::Merge);
-        assert_eq!(JoinStrategy::Auto.resolve(false), ResolvedJoin::Hash);
-    }
 
     #[test]
     fn cost_hint_pins_the_auto_crossover() {

@@ -1,15 +1,15 @@
-//! Property tests pinning the sorted/merge operators to their hash-based
-//! counterparts: on arbitrary keyed interval relations,
+//! Property tests pinning the galloping merge join to a brute-force reference: on
+//! arbitrary keyed interval relations,
 //!
-//! * `interval_merge_join` produces the same multiset of joined rows as
-//!   `interval_hash_join`;
-//! * the k-way-merge / linear-scan coalesce (`coalesce_kway`, `coalesce_sorted`)
-//!   produces exactly the same output as `coalesce`.
+//! * `interval_merge_join_gallop` produces exactly the rows of a nested-loop join,
+//!   in the same left-major order;
+//! * a semi-naive fixpoint driven by it reaches the same frontier as one driven by
+//!   the nested loop, round by round;
+//! * `kway_merge_dedup` equals sort + dedup of the concatenated runs.
 
 use proptest::prelude::*;
 
-use dataflow::sorted::{coalesce_kway, coalesce_sorted, kway_merge_dedup, SortedRelation};
-use dataflow::{coalesce, interval_hash_join, interval_merge_join, interval_merge_join_gallop};
+use dataflow::{interval_merge_join_gallop, kway_merge_dedup};
 use tgraph::Interval;
 
 const MAX_TIME: u64 = 15;
@@ -37,48 +37,44 @@ fn rows_strategy() -> impl Strategy<Value = Vec<Row>> {
     })
 }
 
-fn keyed_intervals_strategy() -> impl Strategy<Value = Vec<(u32, Interval)>> {
-    prop::collection::vec((0..=MAX_KEY, interval_strategy()), 0..24)
+/// Every left-right pair with equal keys and intersecting intervals, in left-major
+/// order (left rows in input order, the matches of one left row in right order) —
+/// the order a merge join emits on key-sorted inputs.
+fn nested_loop_join<'a, L, R, K: Eq>(
+    left: &'a [L],
+    right: &'a [R],
+    left_key: impl Fn(&L) -> K,
+    right_key: impl Fn(&R) -> K,
+    left_interval: impl Fn(&L) -> Interval,
+    right_interval: impl Fn(&R) -> Interval,
+) -> Vec<(&'a L, &'a R, Interval)> {
+    let mut out = Vec::new();
+    for l in left {
+        for r in right {
+            if left_key(l) == right_key(r) {
+                if let Some(iv) = left_interval(l).intersect(&right_interval(r)) {
+                    out.push((l, r, iv));
+                }
+            }
+        }
+    }
+    out
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn interval_merge_join_equals_interval_hash_join(
+    fn galloping_merge_join_equals_the_nested_loop_reference(
         mut left in rows_strategy(),
         mut right in rows_strategy(),
     ) {
-        // The merge join requires key-sorted inputs; the hash join accepts any order
-        // but produces the same multiset either way.
+        // The merge join requires key-sorted inputs; on them the galloping group
+        // seeks must produce exactly the reference rows, in the same order.
         left.sort();
         right.sort();
-        let mut merged: Vec<(u32, u32, Interval)> =
-            interval_merge_join(&left, &right, |l| l.key, |r| r.key, |l| l.interval, |r| r.interval)
-                .into_iter()
-                .map(|(l, r, iv)| (l.id, r.id, iv))
-                .collect();
-        let mut hashed: Vec<(u32, u32, Interval)> =
-            interval_hash_join(&left, &right, |l| l.key, |r| r.key, |l| l.interval, |r| r.interval)
-                .into_iter()
-                .map(|(l, r, iv)| (l.id, r.id, iv))
-                .collect();
-        merged.sort_unstable();
-        hashed.sort_unstable();
-        prop_assert_eq!(merged, hashed);
-    }
-
-    #[test]
-    fn galloping_merge_join_equals_the_linear_merge_join(
-        mut left in rows_strategy(),
-        mut right in rows_strategy(),
-    ) {
-        // The galloping group seeks must not change the join output in any way —
-        // same rows, same order (both joins emit left-major key-group order).
-        left.sort();
-        right.sort();
-        let plain: Vec<(u32, u32, Interval)> =
-            interval_merge_join(&left, &right, |l| l.key, |r| r.key, |l| l.interval, |r| r.interval)
+        let reference: Vec<(u32, u32, Interval)> =
+            nested_loop_join(&left, &right, |l| l.key, |r| r.key, |l| l.interval, |r| r.interval)
                 .into_iter()
                 .map(|(l, r, iv)| (l.id, r.id, iv))
                 .collect();
@@ -88,57 +84,7 @@ proptest! {
         .into_iter()
         .map(|(l, r, iv)| (l.id, r.id, iv))
         .collect();
-        prop_assert_eq!(plain, galloped);
-    }
-
-    #[test]
-    fn sorted_relation_join_equals_hash_join(
-        left in rows_strategy(),
-        right in rows_strategy(),
-    ) {
-        let left_rel = SortedRelation::from_rows(
-            left.iter().map(|r| (r.key, r.interval, r.id)).collect(),
-        );
-        let right_rel = SortedRelation::from_rows(
-            right.iter().map(|r| (r.key, r.interval, r.id)).collect(),
-        );
-        let joined = left_rel.interval_merge_join(&right_rel);
-        // The output relation maintains the key/start sort invariant…
-        prop_assert!(SortedRelation::from_sorted(joined.rows().to_vec()).is_some());
-        // …and carries the same multiset of (left id, right id, interval) matches.
-        let mut merged: Vec<(u32, u32, Interval)> =
-            joined.iter().map(|(_, iv, (l, r))| (**l, **r, *iv)).collect();
-        let mut hashed: Vec<(u32, u32, Interval)> =
-            interval_hash_join(&left, &right, |l| l.key, |r| r.key, |l| l.interval, |r| r.interval)
-                .into_iter()
-                .map(|(l, r, iv)| (l.id, r.id, iv))
-                .collect();
-        merged.sort_unstable();
-        hashed.sort_unstable();
-        prop_assert_eq!(merged, hashed);
-    }
-
-    #[test]
-    fn sorted_and_kway_coalesce_equal_hash_coalesce(
-        rows in keyed_intervals_strategy(),
-        cut in 0..100usize,
-    ) {
-        let reference = coalesce(rows.clone());
-
-        let mut sorted = rows.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(coalesce_sorted(sorted.clone()), reference.clone());
-
-        // Split the sorted rows into two sorted runs at an arbitrary point and merge
-        // them back through the k-way path.
-        let cut = cut.min(sorted.len());
-        let (a, b) = sorted.split_at(cut);
-        prop_assert_eq!(coalesce_kway(vec![a.to_vec(), b.to_vec()]), reference.clone());
-
-        // Interleaved runs (round-robin) must coalesce identically too.
-        let evens: Vec<_> = sorted.iter().copied().step_by(2).collect();
-        let odds: Vec<_> = sorted.iter().copied().skip(1).step_by(2).collect();
-        prop_assert_eq!(coalesce_kway(vec![evens, odds]), reference);
+        prop_assert_eq!(galloped, reference);
     }
 
     #[test]
@@ -148,9 +94,9 @@ proptest! {
     ) {
         // The closure operator's semi-naive loop joins a frontier of
         // (key, interval) deltas against an adjacency relation once per round,
-        // coalescing the results between rounds.  Both physical join strategies must
-        // produce the same canonical frontier at every round.  `Row.id` doubles as
-        // the destination key, wrapped into the key range.
+        // coalescing the results between rounds.  The merge join must produce the
+        // same canonical frontier as the nested-loop reference at every round.
+        // `Row.id` doubles as the destination key, wrapped into the key range.
         edges.sort();
         let canonical = |joined: Vec<(u32, Interval)>| -> Vec<(u32, Interval)> {
             let mut grouped: std::collections::BTreeMap<u32, Vec<Interval>> = Default::default();
@@ -172,7 +118,7 @@ proptest! {
 
         let mut frontier = canonical(seeds);
         for round in 0..3 {
-            let hashed: Vec<(u32, Interval)> = interval_hash_join(
+            let reference: Vec<(u32, Interval)> = nested_loop_join(
                 &frontier,
                 &edges,
                 |f| f.0,
@@ -185,7 +131,7 @@ proptest! {
             .collect();
             // The frontier is canonical, hence key-sorted — exactly what the merge
             // path requires.
-            let merged: Vec<(u32, Interval)> = interval_merge_join(
+            let merged: Vec<(u32, Interval)> = interval_merge_join_gallop(
                 &frontier,
                 &edges,
                 |f| f.0 as usize,
@@ -196,7 +142,7 @@ proptest! {
             .into_iter()
             .map(|(_, r, iv)| (destination(r), iv))
             .collect();
-            let next = canonical(hashed);
+            let next = canonical(reference);
             prop_assert_eq!(&next, &canonical(merged), "round {} diverged", round);
             if next.is_empty() {
                 break;

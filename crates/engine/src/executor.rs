@@ -16,7 +16,7 @@ use crate::chain::Chain;
 use crate::plan::{EnginePlan, PlanSet, TemporalLink};
 use crate::relations::GraphRelations;
 use crate::steps::closure::apply_time_closure;
-use crate::steps::expand::{expand_chains, expand_chunk_sorted};
+use crate::steps::expand::expand_chunk_sorted;
 use crate::steps::structural::apply_segment;
 use crate::steps::temporal::apply_shift;
 use crate::steps::StepStats;
@@ -26,11 +26,10 @@ use crate::steps::StepStats;
 pub struct ExecutionOptions {
     /// Degree of data parallelism for the interval evaluation and the point expansion.
     pub parallelism: Parallelism,
-    /// How the temporally-aligned joins of the structural step are executed, and
-    /// whether the final binding table is assembled by k-way-merging sorted runs
-    /// (merge / auto) or by sorting the concatenated rows (hash).  `Auto` (the
-    /// default) defers to the strategy compiled into the plan set, deciding per join
-    /// from input sortedness when that one is `Auto` too.
+    /// How the temporally-aligned joins of the structural step are executed (hash
+    /// probe or sort-merge).  `Auto` (the default) defers to the strategy compiled
+    /// into the plan set, deciding per join from input sortedness and sizes when that
+    /// one is `Auto` too.
     pub join_strategy: JoinStrategy,
     /// How [`execute_answers`] (and [`crate::answers::Query::run`]) shapes its
     /// answers: a materialised table, compact per-pair interval sets, or a lazy
@@ -247,38 +246,22 @@ fn run_interval_phase(
     IntervalPhase { per_plan_chains, interval_time, interval_rows, step_stats, start }
 }
 
-/// Step 3: expands the interval-level chains into the full binding table.
+/// Step 3: expands the interval-level chains into the full binding table.  Every
+/// worker emits an ordered, deduplicated run; the table is their k-way merge, so no
+/// sort of the whole union is needed.
 fn materialize(
     plan_set: &PlanSet,
     options: &ExecutionOptions,
-    strategy: JoinStrategy,
     per_plan_chains: &[Vec<Chain>],
 ) -> BindingTable {
     let num_slots = plan_set.variables.len();
-    if strategy == JoinStrategy::Hash {
-        // Hash path: concatenate the per-chunk rows and sort the result once.
-        let mut table = BindingTable::new(plan_set.variables.clone());
-        for (plan, chains) in plan_set.plans.iter().zip(per_plan_chains) {
-            let chunk_rows = par_chunk_flat_map(chains, options.parallelism, |chunk| {
-                let mut partial = BindingTable::new(plan_set.variables.clone());
-                expand_chains(plan, num_slots, chunk, &mut partial);
-                partial.into_rows()
-            });
-            table.extend_rows(chunk_rows);
-        }
-        table.sort_dedup();
-        table
-    } else {
-        // Sorted path: every worker emits an ordered, deduplicated run; the final
-        // table is their k-way merge, so the post-union sort disappears.
-        let mut runs: Vec<Vec<Vec<Binding>>> = Vec::new();
-        for (plan, chains) in plan_set.plans.iter().zip(per_plan_chains) {
-            runs.extend(par_chunk_flat_map(chains, options.parallelism, |chunk| {
-                vec![expand_chunk_sorted(plan, &plan_set.variables, num_slots, chunk)]
-            }));
-        }
-        BindingTable::from_rows(plan_set.variables.clone(), kway_merge_dedup(runs))
+    let mut runs: Vec<Vec<Vec<Binding>>> = Vec::new();
+    for (plan, chains) in plan_set.plans.iter().zip(per_plan_chains) {
+        runs.extend(par_chunk_flat_map(chains, options.parallelism, |chunk| {
+            vec![expand_chunk_sorted(plan, &plan_set.variables, num_slots, chunk)]
+        }));
     }
+    BindingTable::from_rows(plan_set.variables.clone(), kway_merge_dedup(runs))
 }
 
 /// Executes a compiled plan set over a graph, materialising the full binding table
@@ -314,7 +297,7 @@ pub fn execute_answers(
     match options.answer_mode {
         AnswerMode::Materialized => {
             let step3 = Span::enter(telemetry.then(|| &crate::telemetry::metrics().span_step3));
-            let table = materialize(plan_set, options, strategy, &phase.per_plan_chains);
+            let table = materialize(plan_set, options, &phase.per_plan_chains);
             step3.finish();
             let stats = phase.finish(table.len());
             phase.record_metrics(&stats, telemetry);

@@ -364,6 +364,22 @@ impl EnginePlan {
     pub fn is_purely_structural(&self) -> bool {
         self.links.is_empty()
     }
+
+    /// Per link, the index into a chain's recorded lags ([`crate::chain::Chain::lags`]):
+    /// `Some` for time-aware closure links, numbered in link order, `None` for shifts.
+    pub fn closure_lag_indices(&self) -> Vec<Option<usize>> {
+        self.links
+            .iter()
+            .scan(0usize, |next, link| match link {
+                TemporalLink::Shift(_) => Some(None),
+                TemporalLink::Closure(_) => {
+                    let index = *next;
+                    *next += 1;
+                    Some(Some(index))
+                }
+            })
+            .collect()
+    }
 }
 
 /// The compiled form of one `MATCH` clause: one plan per union alternative plus the

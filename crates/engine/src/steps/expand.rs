@@ -31,9 +31,9 @@ pub fn expand_chains(
 
 /// Expands one chunk of chains into a sorted, deduplicated run of binding rows.
 ///
-/// This is the unit of work on the executor's sorted (merge / auto join strategy)
-/// path: each parallel worker returns an ordered run, and the final binding table is
-/// assembled with a k-way merge of the runs instead of sorting their concatenation.
+/// This is the executor's Step-3 unit of work under every join strategy: each
+/// parallel worker returns an ordered run, and the final binding table is assembled
+/// with a k-way merge of the runs instead of sorting their concatenation.
 pub fn expand_chunk_sorted(
     plan: &EnginePlan,
     columns: &[String],
@@ -65,20 +65,8 @@ fn expand_chain(plan: &EnginePlan, num_slots: usize, chain: &Chain, table: &mut 
     // The last segment that actually binds an output variable; later segments only
     // need a feasibility check.
     let last_bound_segment = chain.bound.iter().map(|b| b.segment as usize).max().unwrap_or(0);
-    // Per link, the index into the chain's recorded lags (closure links only),
-    // precomputed once so the per-point admissibility checks below stay O(1).
-    let lag_indices: Vec<Option<usize>> = plan
-        .links
-        .iter()
-        .scan(0usize, |next, link| match link {
-            TemporalLink::Shift(_) => Some(None),
-            TemporalLink::Closure(_) => {
-                let index = *next;
-                *next += 1;
-                Some(Some(index))
-            }
-        })
-        .collect();
+    // Precomputed once so the per-point admissibility checks below stay O(1).
+    let lag_indices = plan.closure_lag_indices();
     let ctx = Expansion { plan, chain, intervals: &intervals, lag_indices, last_bound_segment };
     let mut times: Vec<Time> = Vec::with_capacity(intervals.len());
     enumerate(&ctx, num_slots, 0, &mut times, table);

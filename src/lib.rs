@@ -7,8 +7,8 @@
 //!   interval-based ([`tgraph::Itpg`]);
 //! * [`trpq`] — the `NavL[PC,NOI]` query language: AST, practical `MATCH` syntax,
 //!   fragments, complexity, and the paper's reference evaluation algorithms;
-//! * [`dataflow`] — the interval-relational operators and the chunked parallel
-//!   executor the engine is built on;
+//! * [`dataflow`] — the join-strategy knob, the interval merge join, sorted runs and
+//!   the chunked parallel executor the engine is built on;
 //! * [`engine`] — the interval-based three-step query engine of Section VI;
 //! * [`live`] — live graphs: streaming ingestion of epoched mutation batches,
 //!   incremental maintenance of registered queries, and concurrent serving —

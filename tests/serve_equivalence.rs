@@ -6,11 +6,9 @@
 //!
 //! The suite covers the paper's Q1–Q12 plus the REACH structural closure and
 //! the RECUR time-aware closure, under the hash, merge and auto join
-//! strategies.  Set `TPATH_JOIN_STRATEGY=hash|merge|auto` to pin one strategy
-//! (what the CI concurrency matrix does); unset, all three run.
+//! strategies.
 
 use std::collections::BTreeMap;
-use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -36,14 +34,6 @@ fn suite() -> Vec<(String, PlanSet)> {
     out
 }
 
-/// The strategies to run: the one named by `TPATH_JOIN_STRATEGY`, or all three.
-fn strategies() -> Vec<JoinStrategy> {
-    match std::env::var("TPATH_JOIN_STRATEGY") {
-        Ok(name) => vec![JoinStrategy::from_str(&name).expect("valid TPATH_JOIN_STRATEGY")],
-        Err(_) => JoinStrategy::ALL.to_vec(),
-    }
-}
-
 fn workload_batches() -> Vec<Batch> {
     let config = ContactTracingConfig::with_persons(28)
         .with_seed(11)
@@ -60,7 +50,7 @@ fn workload_batches() -> Vec<Batch> {
 fn pinned_snapshot_reads_equal_from_scratch_execution() {
     let batches = workload_batches();
     let suite = suite();
-    for strategy in strategies() {
+    for strategy in JoinStrategy::ALL {
         let options = ExecutionOptions::sequential().with_strategy(strategy);
         let graph = ServeGraph::with_options(Itpg::empty(Interval::of(0, 1)), options);
         let ids: Vec<_> = suite.iter().map(|(_, plan)| graph.register(plan.clone())).collect();
@@ -104,7 +94,7 @@ fn pinned_snapshot_reads_equal_from_scratch_execution() {
 fn concurrent_serving_agrees_with_the_pinned_epoch() {
     let batches = workload_batches();
     let suite = suite();
-    for strategy in strategies() {
+    for strategy in JoinStrategy::ALL {
         let options = ExecutionOptions::sequential().with_strategy(strategy);
 
         // From-scratch reference relations per epoch, computed up front.
